@@ -166,6 +166,9 @@ pub struct Journal {
     last_stamp: u64,
     holders: DetMap<u128, Entry>,
     members: OrSet<u128>,
+    /// `orset_fingerprint(&members)`, refreshed whenever `members` changes
+    /// (join, leave, or a merged delta) so digests read it for free.
+    members_fp: u64,
     vv: DetMap<u64, u64>,
 }
 
@@ -179,6 +182,7 @@ impl Journal {
             last_stamp: 0,
             holders: DetMap::new(),
             members: OrSet::new(),
+            members_fp: orset_fingerprint(&OrSet::new()),
             vv: DetMap::new(),
         }
     }
@@ -261,11 +265,13 @@ impl Journal {
     /// Add `inbox` to the membership OR-set.
     pub fn join_member(&mut self, inbox: ObjId) {
         self.members.add(self.replica, inbox.as_u128());
+        self.members_fp = orset_fingerprint(&self.members);
     }
 
     /// Remove `inbox` from the membership OR-set (add-wins on races).
     pub fn leave_member(&mut self, inbox: ObjId) {
         self.members.remove(&inbox.as_u128());
+        self.members_fp = orset_fingerprint(&self.members);
     }
 
     /// Whether `inbox` is a current member.
@@ -280,7 +286,7 @@ impl Journal {
 
     /// Fingerprint of the membership OR-set alone (the digest field).
     pub fn members_fingerprint(&self) -> u64 {
-        orset_fingerprint(&self.members)
+        self.members_fp
     }
 
     /// The digest (version vector + membership fingerprint) for the first
@@ -350,6 +356,7 @@ impl Journal {
         }
         if let Some(members) = &delta.members {
             self.members.merge(members);
+            self.members_fp = orset_fingerprint(&self.members);
         }
         for (replica, seq) in &delta.vv {
             let seen = self.vv.entry(*replica).or_insert(0);
@@ -359,10 +366,12 @@ impl Journal {
     }
 
     /// Content fingerprint: FNV-1a over the sorted canonical encoding of
-    /// every holder fact and member. Two journals with equal fingerprints
-    /// hold the same facts regardless of write or merge order — the
-    /// convergence oracle for the proptests and the chaos soak.
+    /// every holder fact, then every live member in order. Two journals
+    /// with equal fingerprints hold the same facts regardless of write or
+    /// merge order — the convergence oracle for the proptests and the
+    /// chaos soak.
     pub fn fingerprint(&self) -> u64 {
+        // `DetMap` iterates in no particular order; the holders need a sort.
         let mut keys: Vec<u128> = self.holders.keys().copied().collect();
         keys.sort_unstable();
         let mut w = WireWriter::new();
@@ -371,12 +380,9 @@ impl Journal {
             w.put_u128(k);
             e.fact.encode(&mut w);
         }
-        let mut elems: Vec<u128> = self.members.elements().into_iter().copied().collect();
-        elems.sort_unstable();
-        for m in elems {
-            w.put_u128(m);
-        }
-        fnv1a(&w.into_vec())
+        let mut h = Fnv1a::new();
+        h.write(w.as_slice());
+        hash_members(h, &self.members)
     }
 }
 
@@ -387,24 +393,38 @@ impl std::ops::Index<&u128> for Journal {
     }
 }
 
-/// Canonical fingerprint of an OR-set of inboxes (sorted elements).
+/// Canonical fingerprint of an OR-set of inboxes: FNV-1a over the live
+/// elements' little-endian bytes, in order.
 pub fn orset_fingerprint(set: &OrSet<u128>) -> u64 {
-    let mut elems: Vec<u128> = set.elements().into_iter().copied().collect();
-    elems.sort_unstable();
-    let mut w = WireWriter::new();
-    for e in elems {
-        w.put_u128(e);
-    }
-    fnv1a(&w.into_vec())
+    hash_members(Fnv1a::new(), set)
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
+/// Feed `set`'s live elements (already ascending) into `h` and finish.
+fn hash_members(mut h: Fnv1a, set: &OrSet<u128>) -> u64 {
+    for m in set.iter() {
+        h.write(&m.to_le_bytes());
     }
-    h
+    h.finish()
+}
+
+/// Streaming 64-bit FNV-1a.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn new() -> Fnv1a {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+        }
+    }
+
+    fn finish(self) -> u64 {
+        self.0
+    }
 }
 
 #[cfg(test)]
@@ -511,6 +531,107 @@ mod tests {
 
         // Idempotent: nothing else crosses the cutoff.
         assert_eq!(a.expire_tombstones(1_000, 500), 0);
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Holder facts (one retired), a member that left, a merged peer, and
+    /// a re-join after a crash (a second tag on the same member).
+    fn golden_journal() -> Journal {
+        let mut a = Journal::new(1);
+        a.record_holder(ObjId(0xA1), ObjId(0x101), 100);
+        a.record_holder(ObjId(0xA2), ObjId(0x102), 150);
+        a.join_member(ObjId(0x101));
+        a.join_member(ObjId(0x102));
+        a.join_member(ObjId(0x103));
+        a.leave_member(ObjId(0x102));
+        a.retire_holder(ObjId(0xA2), 200);
+        let mut b = Journal::new(2);
+        b.join_member(ObjId(0x104));
+        b.join_member(ObjId(0x101));
+        b.record_holder(ObjId(0xB1), ObjId(0x104), 120);
+        a.apply(&b.delta_since(&a.digest(), false));
+        a.bump_epoch();
+        a.join_member(ObjId(0x101));
+        a.record_holder(ObjId(0xA1), ObjId(0x101), 300);
+        a
+    }
+
+    // The values below were recorded from the journal before its membership
+    // fingerprint was cached and its OR-set flattened; neither the oracle,
+    // the digest field nor the delta bytes may move.
+
+    #[test]
+    fn fingerprints_match_the_recorded_values() {
+        let j = golden_journal();
+        assert_eq!(j.fingerprint(), 0xdaddffd5168a11ab);
+        assert_eq!(j.members_fingerprint(), 0x1c372fa58f4b2c18);
+        assert_eq!(orset_fingerprint(&j.members), 0x1c372fa58f4b2c18);
+        assert_eq!(Journal::new(3).members_fingerprint(), 0xcbf29ce484222325);
+        let mut set: OrSet<u128> = OrSet::new();
+        set.add(7, 0x101);
+        set.add(9, 0x1_0000_0000_0000_0000_0000_0103);
+        set.add(7, 0x102);
+        set.remove(&0x102);
+        set.add(8, 0x101);
+        let mut other = OrSet::new();
+        other.add(5, 0x104u128);
+        set.merge(&other);
+        assert_eq!(orset_fingerprint(&set), 0x776508ca327a2bf9);
+    }
+
+    #[test]
+    fn delta_with_members_matches_the_recorded_bytes() {
+        let j = golden_journal();
+        let digest = rdv_wire::encode_to_vec(&j.digest());
+        assert_eq!(hex(&digest), "0201040201182c4b8fa52f371c");
+        let delta = j.delta_since(&Digest::default(), true);
+        assert!(delta.members.is_some());
+        let bytes = rdv_wire::encode_to_vec(&delta);
+        assert_eq!(
+            hex(&bytes),
+            "020104020103a1000000000000000000000000000000010100000000000000000000000000000\
+             1ac02010104a2000000000000000000000000000000000000000000000000000000000000000\
+             0c801010103b100000000000000000000000000000004010000000000000000000000000000\
+             0078020201010301010000000000000000000000000000030100010302010301000000000000\
+             0000000000000000010102040100000000000000000000000000000102000102010000000000\
+             000000000000000000010101020104020201"
+        );
+        assert_eq!(rdv_wire::decode_from_slice::<Delta>(&bytes).unwrap(), delta);
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The cached membership fingerprint never drifts from a
+        /// from-scratch one, whatever mix of joins, leaves and merges the
+        /// membership goes through.
+        #[test]
+        fn cached_members_fingerprint_tracks_every_step(
+            tape in proptest::collection::vec((0u8..4, 0usize..3, 0u128..6), 1..40),
+        ) {
+            let mut js: Vec<Journal> = (1..=3).map(Journal::new).collect();
+            for (kind, who, inbox) in tape {
+                let peer = (who + 1) % js.len();
+                match kind {
+                    0 => js[who].join_member(ObjId(0x100 + inbox)),
+                    1 => js[who].leave_member(ObjId(0x100 + inbox)),
+                    2 => {
+                        let delta = js[peer].delta_since(&js[who].digest(), false);
+                        js[who].apply(&delta);
+                    }
+                    _ => {
+                        let delta = js[peer].delta_since(&Digest::default(), false);
+                        js[who].apply(&delta);
+                    }
+                }
+                for j in &js {
+                    prop_assert_eq!(j.members_fingerprint(), orset_fingerprint(&j.members));
+                }
+            }
+        }
     }
 
     #[test]

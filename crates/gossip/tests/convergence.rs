@@ -2,7 +2,7 @@
 //! CRDT, so digest→delta exchanges must converge to identical content in
 //! any order, any grouping, and under arbitrary repetition. Each law is
 //! checked on journals built from a random op tape (records, retires,
-//! membership joins across several replicas) — the same state space the
+//! membership joins and leaves across several replicas) — the same state space the
 //! chaos soak's gossip family drives through a lossy fabric, here with
 //! the network stripped away so a violation names the algebra directly.
 
@@ -11,14 +11,15 @@ use rdv_gossip::{Digest, Journal};
 use rdv_objspace::ObjId;
 
 /// One raw op draw: `(kind, obj, holder, at)`. Kinds 0–3 record, 4
-/// retires, 5 joins — records dominate, mirroring real churn. The value
+/// retires, 5 joins, 6 leaves (tombstoning every tag of the member this
+/// replica has seen) — records dominate, mirroring real churn. The value
 /// spaces are small so replicas collide on objects (forcing real LWW
 /// conflicts, not disjoint merges).
 type RawOp = (u8, u8, u8, u16);
 
 /// Op tapes for `n` replicas: each tape is applied to its own journal.
 fn tapes(n: usize) -> impl Strategy<Value = Vec<Vec<RawOp>>> {
-    collection::vec(collection::vec((0u8..6, 0u8..6, 0u8..5, 0u16..1000), 1..12), n)
+    collection::vec(collection::vec((0u8..7, 0u8..6, 0u8..5, 0u16..1000), 1..12), n)
 }
 
 fn build(replica: u64, tape: &[RawOp]) -> Journal {
@@ -29,7 +30,8 @@ fn build(replica: u64, tape: &[RawOp]) -> Journal {
             // confused with an object id.
             0..=3 => j.record_holder(ObjId(obj as u128), ObjId(0x100 + holder as u128), at as u64),
             4 => j.retire_holder(ObjId(obj as u128), at as u64),
-            _ => j.join_member(ObjId(0x100 + holder as u128)),
+            5 => j.join_member(ObjId(0x100 + holder as u128)),
+            _ => j.leave_member(ObjId(0x100 + holder as u128)),
         }
     }
     j

@@ -15,9 +15,11 @@ collide), and either
                in CI are noisy; the warning is a nudge to look, not a gate.
 
 The exception is the groups in FAIL_PCT: the engine hot path is the one
-place a silent slowdown compounds into every figure and soak, so a drop
-beyond its (much looser) threshold fails the run outright -- a 40% cliff
-is a lost optimisation, not box noise.
+place a silent slowdown compounds into every figure and soak, and gossip
+anti-entropy runs on every host of every gossip-enabled figure (its
+membership exchange must stay proportional to what changed, not to the
+membership size), so a drop beyond their (much looser) threshold fails
+the run outright -- a 40% cliff is a lost optimisation, not box noise.
 
 Exit code is 0 in check mode unless a bench itself failed to run or a
 FAIL_PCT group regressed past its threshold.
@@ -35,7 +37,7 @@ BENCHES = ["engine_hotpath", "engine_shards", "load_gen", "gossip_sync", "trace_
 REGRESSION_PCT = 25
 # Per-group hard gates, keyed by the group prefix (the part of the
 # benchmark name before "/"). Groups not listed here stay warn-only.
-FAIL_PCT = {"engine_hotpath": 40}
+FAIL_PCT = {"engine_hotpath": 40, "gossip_sync": 40}
 
 LINE = re.compile(
     r"^(?P<name>\S+)\s+time: \[(?P<lo>[\d.]+) (?P<lou>\S+) "
