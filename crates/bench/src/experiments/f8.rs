@@ -27,7 +27,7 @@ use rdv_discovery::host::tags;
 use rdv_load::{nearest_rank, LoadRun};
 use rdv_netsim::trace::critical::{CriticalPath, CATEGORIES};
 use rdv_netsim::trace::{EventKind, SampleSpec, Tracer};
-use rdv_netsim::SimTime;
+use rdv_netsim::{SimTime, SEND_AFTER_TAG};
 
 use super::f6;
 use crate::report::Series;
@@ -56,15 +56,18 @@ fn layer_idx(layer: &str) -> usize {
 
 /// The protocol layer a chain event pins the path to, if it pins one:
 /// timer tags identify the machinery that armed them, span/mark labels
-/// identify the plane that emitted them. Packet legs carry no layer of
-/// their own — they inherit the last pinned layer (see [`layer_split`]).
-fn layer_hint(kind: EventKind) -> Option<&'static str> {
+/// identify the plane that emitted them. A delayed send pins memproto on
+/// a host (the serve time before a reply leaves) and nothing on a switch,
+/// whose pipeline hop is a packet leg like any other. Packet legs carry no
+/// layer of their own — they inherit the last pinned layer (see
+/// [`layer_split`]).
+fn layer_hint(kind: EventKind, on_host: bool) -> Option<&'static str> {
     match kind {
         EventKind::TimerSet { tag }
         | EventKind::TimerFire { tag }
         | EventKind::TimerDrop { tag } => {
-            if tag & tags::DEFER != 0 {
-                Some("memproto")
+            if tag == SEND_AFTER_TAG {
+                on_host.then_some("memproto")
             } else if tag & (tags::ACCESS_TIMEOUT | tags::RETRY) != 0 {
                 Some("discovery")
             } else if tag & tags::GOSSIP != 0 {
@@ -85,14 +88,21 @@ fn layer_hint(kind: EventKind) -> Option<&'static str> {
 
 /// Charge every segment of `path` to a protocol layer: a segment takes
 /// the layer its ending event pins (a watchdog fire is discovery time, a
-/// defer fire is memproto serve time), and unpinned segments — packet
-/// legs, host dispatch — inherit the most recent pin, starting from
-/// `default_layer` (replog for batch paths).
-fn layer_split(tracer: &Tracer, path: &CriticalPath, default_layer: &'static str) -> [u64; 4] {
+/// host's delayed-send fire is memproto serve time), and unpinned
+/// segments — packet legs, switch hops, host dispatch — inherit the most
+/// recent pin, starting from `default_layer` (replog for batch paths).
+/// Nodes below `hosts` are hosts; the star fabric numbers its switch after
+/// them.
+fn layer_split(
+    tracer: &Tracer,
+    path: &CriticalPath,
+    default_layer: &'static str,
+    hosts: u32,
+) -> [u64; 4] {
     let mut out = [0u64; 4];
     let mut cur = default_layer;
     for seg in &path.segments {
-        if let Some(h) = tracer.get(seg.to).map(|e| layer_hint(e.kind)).unwrap_or(None) {
+        if let Some(h) = tracer.get(seg.to).and_then(|e| layer_hint(e.kind, e.node < hosts)) {
             cur = h;
         }
         out[layer_idx(cur)] += seg.ns;
@@ -184,7 +194,7 @@ fn run_scale(hosts: usize, period_us: u64, gossip_permille: u16, shards: usize) 
             for (i, cat) in CATEGORIES.iter().enumerate() {
                 by_category[i] = path.category_ns(cat);
             }
-            let by_layer = layer_split(tracer, &path, "replog");
+            let by_layer = layer_split(tracer, &path, "replog", hosts as u32);
             BatchPath { completed_ns, latency_ns, by_category, by_layer }
         })
         .collect();
@@ -359,6 +369,43 @@ mod tests {
     fn tiny() -> &'static Series {
         static TINY: OnceLock<Series> = OnceLock::new();
         TINY.get_or_init(|| sweep(&[(64, 40, 200)], &[1, 2]))
+    }
+
+    #[test]
+    fn delayed_sends_charge_memproto_on_hosts_and_inherit_on_switches() {
+        const SWITCH: u32 = 2; // hosts 0 and 1, the switch numbered after them
+        let fire = |tag| EventKind::TimerFire { tag };
+        assert_eq!(layer_hint(fire(SEND_AFTER_TAG), true), Some("memproto"));
+        assert_eq!(layer_hint(fire(SEND_AFTER_TAG), false), None);
+        assert_eq!(layer_hint(fire(tags::ACCESS_TIMEOUT | 7), true), Some("discovery"));
+        assert_eq!(layer_hint(fire(tags::GOSSIP), true), Some("gossip"));
+
+        // A watchdog re-send from host 0 crosses the switch's pipeline hop
+        // and is served by host 1 after its serve delay.
+        let chain = [
+            (0, EventKind::TimerSet { tag: tags::ACCESS_TIMEOUT | 1 }, 0),
+            (0, fire(tags::ACCESS_TIMEOUT | 1), 1_000),
+            (0, EventKind::PacketEnqueue { port: 0, bytes: 64 }, 0),
+            (0, EventKind::PacketTransmit, 100),
+            (SWITCH, EventKind::PacketDeliver { port: 0 }, 500),
+            (SWITCH, EventKind::TimerSet { tag: SEND_AFTER_TAG }, 0),
+            (SWITCH, fire(SEND_AFTER_TAG), 400),
+            (SWITCH, EventKind::PacketEnqueue { port: 1, bytes: 64 }, 0),
+            (SWITCH, EventKind::PacketTransmit, 100),
+            (1, EventKind::PacketDeliver { port: 0 }, 500),
+            (1, EventKind::TimerSet { tag: SEND_AFTER_TAG }, 0),
+            (1, fire(SEND_AFTER_TAG), 2_000),
+        ];
+        let mut tracer = Tracer::enabled(64);
+        let (mut at, mut last) = (0, None);
+        for (node, kind, ns) in chain {
+            at += ns;
+            last = tracer.record(at, node, kind, last, None);
+        }
+        let path = CriticalPath::from_end(&tracer, last.expect("recorded"));
+        // The switch hop stays with the watchdog's discovery time; only
+        // host 1's serve delay is memproto.
+        assert_eq!(layer_split(&tracer, &path, "replog", SWITCH), [2_600, 0, 2_000, 0]);
     }
 
     #[test]

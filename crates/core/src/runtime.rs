@@ -226,12 +226,8 @@ impl Default for GasHostConfig {
 }
 
 #[derive(Debug)]
-#[allow(dead_code)] // retained for debugging and future retry logic
 struct FetchState {
     target: ObjId,
-    demand: bool,
-    issued: SimTime,
-    script: Option<usize>,
     /// The `core.fetch` span-begin, when tracing was enabled.
     span: Option<EventId>,
 }
@@ -283,7 +279,6 @@ struct ScriptProgress {
 }
 
 mod tags {
-    pub const DEFER: u64 = 1 << 62;
     pub const TASK_DONE: u64 = 1 << 61;
     pub const WATCHDOG: u64 = 1 << 60;
     pub const TASK_WATCH: u64 = 1 << 59;
@@ -318,9 +313,9 @@ pub struct GasHostNode {
     served_invokes: DetMap<(u128, u64), Vec<u8>>,
     task_results: DetMap<u64, (usize, Vec<u8>)>,
     traversals: Vec<TraversalState>,
-    deferred: DetMap<u64, Msg>,
     next_req: u64,
-    next_defer: u64,
+    /// Key of the next `task_results` entry (timer tag `TASK_DONE | key`).
+    next_task_result: u64,
     next_trace: u64,
     /// Host counters: `serves`, `fetch.demand`, `fetch.prefetch`,
     /// `tx_bytes`, `rx_bytes`, `pushes`, `invokes_executed`, `nacks`.
@@ -350,9 +345,8 @@ impl GasHostNode {
             served_invokes: DetMap::new(),
             task_results: DetMap::new(),
             traversals: Vec::new(),
-            deferred: DetMap::new(),
             next_req: 1,
-            next_defer: 0,
+            next_task_result: 0,
             next_trace: 1,
             counters: rdv_netsim::Counters::new(),
         }
@@ -369,22 +363,15 @@ impl GasHostNode {
     }
 
     fn transmit(&mut self, ctx: &mut NodeCtx<'_>, msg: Msg) {
+        self.transmit_after(ctx, SimTime::ZERO, msg);
+    }
+
+    fn transmit_after(&mut self, ctx: &mut NodeCtx<'_>, delay: SimTime, msg: Msg) {
         let bytes = msg.encode();
         self.counters.add_id(ctr().tx_bytes, bytes.len() as u64);
         let trace = (self.inbox.lo() << 20) ^ self.next_trace;
         self.next_trace += 1;
-        ctx.send(PortId(0), Packet::new(bytes, trace));
-    }
-
-    fn transmit_after(&mut self, ctx: &mut NodeCtx<'_>, delay: SimTime, msg: Msg) {
-        if delay == SimTime::ZERO {
-            self.transmit(ctx, msg);
-            return;
-        }
-        let id = self.next_defer;
-        self.next_defer += 1;
-        self.deferred.insert(id, msg);
-        ctx.set_timer(delay, tags::DEFER | id);
+        ctx.send_after(delay, PortId(0), Packet::new(bytes, trace));
     }
 
     fn ensure_fetch(
@@ -404,7 +391,7 @@ impl GasHostNode {
         self.next_req += 1;
         self.inflight.insert(target);
         let span = ctx.trace.span_begin("core.fetch", target.lo());
-        self.fetches.insert(req, FetchState { target, demand, issued: ctx.now, script, span });
+        self.fetches.insert(req, FetchState { target, span });
         if demand {
             self.counters.inc_id(ctr().fetch_demand);
             if let Some(s) = script {
@@ -943,8 +930,8 @@ impl GasHostNode {
                 self.transmit_after(ctx, delay, msg);
             }
             Reply::Script { script } => {
-                let id = self.next_defer;
-                self.next_defer += 1;
+                let id = self.next_task_result;
+                self.next_task_result += 1;
                 self.task_results.insert(id, (script, outcome.result));
                 ctx.set_timer(delay, tags::TASK_DONE | id);
             }
@@ -1246,11 +1233,7 @@ impl Node for GasHostNode {
     }
 
     fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, tag: u64) {
-        if tag & tags::DEFER != 0 {
-            if let Some(msg) = self.deferred.remove(&(tag & !tags::DEFER)) {
-                self.transmit(ctx, msg);
-            }
-        } else if tag & tags::WATCHDOG != 0 {
+        if tag & tags::WATCHDOG != 0 {
             self.handle_watchdog(ctx, (tag & !tags::WATCHDOG) as usize);
         } else if tag & tags::TASK_WATCH != 0 {
             self.handle_task_watch(ctx, (tag & !tags::TASK_WATCH) as usize);

@@ -32,8 +32,6 @@ pub struct ControllerNode {
     /// Processing delay between receiving an advertisement and emitting
     /// rule installs.
     pub processing_delay: SimTime,
-    deferred: DetMap<u64, Vec<(PortId, Vec<u8>)>>,
-    next_defer: u64,
     /// Advertisements handled.
     pub advertisements: u64,
     /// Rules pushed to switches.
@@ -49,8 +47,6 @@ impl ControllerNode {
             label: label.into(),
             switches,
             processing_delay: SimTime::from_micros(10),
-            deferred: DetMap::new(),
-            next_defer: 0,
             advertisements: 0,
             installs: 0,
             directory: DetMap::new(),
@@ -99,15 +95,8 @@ impl Node for ControllerNode {
                 let holder = msg.header.src;
                 let sends = self.program_object(obj, holder);
                 ctx.trace.mark("controller.install", sends.len() as u64);
-                if self.processing_delay == SimTime::ZERO {
-                    for (port, bytes) in sends {
-                        ctx.send(port, Packet::new(bytes, 0));
-                    }
-                } else {
-                    let id = self.next_defer;
-                    self.next_defer += 1;
-                    self.deferred.insert(id, sends);
-                    ctx.set_timer(self.processing_delay, id);
+                for (port, bytes) in sends {
+                    ctx.send_after(self.processing_delay, port, Packet::new(bytes, 0));
                 }
             }
             // Explicitly ignored (D7): the controller's only wire input is
@@ -136,14 +125,6 @@ impl Node for ControllerNode {
             // never participates.
             | MsgBody::GossipDigest { .. }
             | MsgBody::GossipDelta { .. } => {}
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, tag: u64) {
-        if let Some(sends) = self.deferred.remove(&tag) {
-            for (port, bytes) in sends {
-                ctx.send(port, Packet::new(bytes, 0));
-            }
         }
     }
 

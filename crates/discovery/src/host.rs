@@ -187,8 +187,6 @@ pub mod tags {
     pub const ACCESS_LIMIT: u64 = 1 << 40;
     /// OR this bit: index into the migration plan.
     pub const MIGRATE: u64 = 1 << 61;
-    /// OR this bit: internal deferred-reply id.
-    pub const DEFER: u64 = 1 << 62;
     /// OR this bit: retry a NACKed controller-mode access (the req id is in
     /// the low bits); used while the controller repoints a moved object.
     pub const RETRY: u64 = 1 << 60;
@@ -214,10 +212,8 @@ pub struct HostNode {
     /// the host whose inbox is `migrations[i].1`.
     pub migrations: Vec<(ObjId, ObjId)>,
     pending: DetMap<u64, Pending>,
-    deferred: DetMap<u64, Msg>,
     next_req: u64,
     next_trace: u64,
-    next_defer: u64,
     /// Journal-synchronized discovery (DESIGN.md §12), when enabled:
     /// holder facts gossip between neighbours instead of flooding, and
     /// stale cache entries repair from the local journal.
@@ -252,10 +248,8 @@ impl HostNode {
             plan: Vec::new(),
             migrations: Vec::new(),
             pending: DetMap::new(),
-            deferred: DetMap::new(),
             next_req: 1,
             next_trace: 1,
-            next_defer: 0,
             gossip: None,
             gossip_spans: DetMap::new(),
             records: Vec::new(),
@@ -395,15 +389,10 @@ impl HostNode {
         ctx.send(PortId(0), Packet::new(msg.encode(), trace));
     }
 
-    fn transmit_deferred(&mut self, ctx: &mut NodeCtx<'_>, msg: Msg) {
-        if self.cfg.serve_delay == SimTime::ZERO {
-            self.transmit(ctx, msg);
-            return;
-        }
-        let id = self.next_defer;
-        self.next_defer += 1;
-        self.deferred.insert(id, msg);
-        ctx.set_timer(self.cfg.serve_delay, tags::DEFER | id);
+    /// Transmit a served reply once the modelled serve time has elapsed.
+    fn transmit_served(&mut self, ctx: &mut NodeCtx<'_>, msg: Msg) {
+        let trace = self.fresh_trace();
+        ctx.send_after(self.cfg.serve_delay, PortId(0), Packet::new(msg.encode(), trace));
     }
 
     fn start_access(&mut self, ctx: &mut NodeCtx<'_>, target: ObjId) {
@@ -610,7 +599,7 @@ impl HostNode {
                     Err(_) => return,
                 };
                 self.counters.inc_id(ctr().serves);
-                self.transmit_deferred(ctx, Msg::new(reply_to, self.inbox, reply));
+                self.transmit_served(ctx, Msg::new(reply_to, self.inbox, reply));
             }
             MsgBody::ObjImageReq { req, target } => {
                 let reply = match self.store.get(target) {
@@ -625,13 +614,13 @@ impl HostNode {
                     Err(_) => return,
                 };
                 self.counters.inc_id(ctr().serves);
-                self.transmit_deferred(ctx, Msg::new(reply_to, self.inbox, reply));
+                self.transmit_served(ctx, Msg::new(reply_to, self.inbox, reply));
             }
             MsgBody::DiscoverReq { req }
                 // Routed (flooded) on the target object: dst names it.
                 if self.store.contains(msg.header.dst) => {
                     let reply = MsgBody::DiscoverResp { req, holder_inbox: self.inbox };
-                    self.transmit_deferred(ctx, Msg::new(reply_to, self.inbox, reply));
+                    self.transmit_served(ctx, Msg::new(reply_to, self.inbox, reply));
                 }
             _ => {}
         }
@@ -893,11 +882,7 @@ impl Node for HostNode {
     }
 
     fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, tag: u64) {
-        if tag & tags::DEFER != 0 {
-            if let Some(msg) = self.deferred.remove(&(tag & !tags::DEFER)) {
-                self.transmit(ctx, msg);
-            }
-        } else if tag & tags::ACCESS_TIMEOUT != 0 {
+        if tag & tags::ACCESS_TIMEOUT != 0 {
             self.handle_access_timeout(ctx, tag & !tags::ACCESS_TIMEOUT);
         } else if tag & tags::GOSSIP != 0 {
             self.gossip_round(ctx);

@@ -41,7 +41,7 @@ use crate::audit::{ShardAudit, ShardAuditKind, ShardAuditViolation};
 use crate::fault::{FaultEvent, FaultPlan};
 use crate::flight;
 use crate::link::{Direction, Link, LinkId, LinkRate, LinkSpec};
-use crate::node::{Node, NodeCtx, NodeId, PortId};
+use crate::node::{push_flood, Node, NodeCtx, NodeId, PortId, TimerAction, SEND_AFTER_TAG};
 use crate::packet::Packet;
 use crate::queue::{CalendarQueue, EventKey};
 use crate::stats::{
@@ -133,14 +133,28 @@ enum EvKind {
         node: u32,
         port: u32,
         packet: Packet,
-        epoch: u64,
+        epoch: u32,
     },
     Timer {
         node: u32,
         tag: u64,
-        epoch: u64,
+        epoch: u32,
+    },
+    /// A timer-class event of the sending `node` that, when it fires,
+    /// transmits `packet` as [`NodeCtx::send`] on `port` would, or with
+    /// `flood` as [`NodeCtx::flood`] excepting `port` would (`NO_PORT`:
+    /// none).
+    SendAfter {
+        node: u32,
+        port: u32,
+        flood: bool,
+        packet: Packet,
+        epoch: u32,
     },
 }
+
+/// [`EvKind::SendAfter`]'s "no port" for a flood that excepts none.
+const NO_PORT: u32 = u32::MAX;
 
 /// Queue payload: the event plus its trace provenance (the recorded event
 /// that scheduled it — a packet's transmit, a timer's set).
@@ -215,8 +229,9 @@ struct Globals {
     /// Per node: is the network stack up? Crashed nodes receive nothing.
     alive: Vec<bool>,
     /// Per node: crash epoch. Bumped on every crash so events scheduled
-    /// before the crash can be recognized and discarded on pop.
-    epochs: Vec<u64>,
+    /// before the crash can be recognized and discarded on pop. `u32`
+    /// keeps packet-carrying queue entries at 40 bytes.
+    epochs: Vec<u32>,
     /// Registered partitions (from installed fault plans).
     partitions: Vec<Partition>,
     /// Number of currently active partitions — lets the per-send check
@@ -285,7 +300,7 @@ struct Shard {
     /// loop allocates nothing in steady state. Each entry carries the
     /// causal provenance snapshotted when the node queued it.
     scratch_sends: Vec<(PortId, Packet, Option<EventId>)>,
-    scratch_timers: Vec<(SimTime, u64, Option<EventId>)>,
+    scratch_timers: Vec<(SimTime, TimerAction, Option<EventId>)>,
     /// Flight-recorder ring for this shard (see
     /// [`Sim::enable_flight_recorder`]). Unlike the tracer, it records
     /// during parallel windows too — ids are namespaced per ring, so no
@@ -496,7 +511,9 @@ impl Shard {
         self.clock_ns = key.at;
         if self.audit.is_some() {
             let node = match &ev.kind {
-                EvKind::Deliver { node, .. } | EvKind::Timer { node, .. } => *node,
+                EvKind::Deliver { node, .. }
+                | EvKind::Timer { node, .. }
+                | EvKind::SendAfter { node, .. } => *node,
             };
             self.audit_begin_event(g, key, node);
         }
@@ -533,27 +550,59 @@ impl Shard {
                 }
             }
             EvKind::Timer { node, tag, epoch } => {
-                let gid = node as usize;
-                let local = g.node_loc[gid].1 as usize;
-                self.pending_timers[local] -= 1;
-                if !g.alive[gid] || epoch != g.epochs[gid] {
-                    self.counters.inc_id(SIM_TIMERS_DROPPED_CRASH);
-                    let fault = g.crash_trace[gid];
-                    self.ev_rec(hooks, key.at, node, TraceKind::TimerDrop { tag }, ev.trace, fault);
-                } else {
-                    self.counters.inc_id(SIM_TIMERS);
-                    let fire = self.ev_rec(
-                        hooks,
-                        key.at,
-                        node,
-                        TraceKind::TimerFire { tag },
-                        ev.trace,
-                        None,
-                    );
+                if let Some(fire) = self.fire_timer(g, hooks, key.at, node, tag, epoch, ev.trace) {
                     self.dispatch(g, node, fire, hooks, |n, ctx| n.on_timer(ctx, tag));
                 }
             }
+            EvKind::SendAfter { node, port, flood, packet, epoch } => {
+                let tag = SEND_AFTER_TAG;
+                let Some(fire) = self.fire_timer(g, hooks, key.at, node, tag, epoch, ev.trace)
+                else {
+                    return;
+                };
+                // Admit it exactly as a send/flood queued by a callback of
+                // `node` at this instant, caused by the fire.
+                let mut sends = std::mem::take(&mut self.scratch_sends);
+                let port = (port != NO_PORT).then_some(PortId(port as usize));
+                if flood {
+                    push_flood(&mut sends, g.ports[node as usize].len(), &packet, port, fire);
+                } else if let Some(port) = port {
+                    sends.push((port, packet, fire));
+                }
+                let local = g.node_loc[node as usize].1 as usize;
+                self.apply_actions(g, node, local, hooks, &mut sends, &mut Vec::new());
+                self.scratch_sends = sends;
+            }
         }
+    }
+
+    /// Retire a timer-class event of `node`: counted as fired and traced
+    /// as `timer.fire` when the node is still the incarnation that armed
+    /// it, else counted and traced as a crash drop. Returns the fire's
+    /// trace id (the cause of whatever the fire does), or `None` when the
+    /// event was dropped.
+    #[allow(clippy::too_many_arguments)]
+    fn fire_timer(
+        &mut self,
+        g: &Globals,
+        hooks: &mut Option<&mut Tracer>,
+        at: u64,
+        node: u32,
+        tag: u64,
+        epoch: u32,
+        set: Option<EventId>,
+    ) -> Option<Option<EventId>> {
+        let gid = node as usize;
+        let local = g.node_loc[gid].1 as usize;
+        self.pending_timers[local] -= 1;
+        if !g.alive[gid] || epoch != g.epochs[gid] {
+            self.counters.inc_id(SIM_TIMERS_DROPPED_CRASH);
+            let fault = g.crash_trace[gid];
+            self.ev_rec(hooks, at, node, TraceKind::TimerDrop { tag }, set, fault);
+            return None;
+        }
+        self.counters.inc_id(SIM_TIMERS);
+        Some(self.ev_rec(hooks, at, node, TraceKind::TimerFire { tag }, set, None))
     }
 
     /// Run one node callback against the shard-owned scratch buffers and
@@ -593,10 +642,11 @@ impl Shard {
         self.scratch_timers = timers;
     }
 
-    /// Admit queued sends onto their links and arm queued timers. Each
-    /// queued action carries the causal provenance snapshotted when the
-    /// node issued it — the dispatch event in full-trace mode, the live
-    /// span anchor in sampled mode.
+    /// Admit queued sends onto their links, then arm queued timers and
+    /// delayed sends in call order (delayed sends as `timer.set` under
+    /// [`SEND_AFTER_TAG`]). Each queued action carries the causal
+    /// provenance snapshotted when the node issued it — the dispatch event
+    /// in full-trace mode, the live span anchor in sampled mode.
     #[allow(clippy::too_many_arguments)]
     fn apply_actions(
         &mut self,
@@ -605,7 +655,7 @@ impl Shard {
         local: usize,
         hooks: &mut Option<&mut Tracer>,
         sends: &mut Vec<(PortId, Packet, Option<EventId>)>,
-        timers: &mut Vec<(SimTime, u64, Option<EventId>)>,
+        timers: &mut Vec<(SimTime, TimerAction, Option<EventId>)>,
     ) {
         let now = SimTime::from_nanos(self.clock_ns);
         let now_ns = self.clock_ns;
@@ -759,14 +809,21 @@ impl Shard {
             }
         }
         let epoch = g.epochs[gid as usize];
-        for (at, tag, cause) in timers.drain(..) {
+        for (at, action, cause) in timers.drain(..) {
             self.pending_timers[local] += 1;
+            let (tag, kind) = match action {
+                TimerAction::Tag(tag) => (tag, EvKind::Timer { node: gid, tag, epoch }),
+                TimerAction::Send { port, flood, packet } => {
+                    let port = port.map_or(NO_PORT, |p| p.0 as u32);
+                    (SEND_AFTER_TAG, EvKind::SendAfter { node: gid, port, flood, packet, epoch })
+                }
+            };
             let trace = self.ev_rec(hooks, now_ns, gid, TraceKind::TimerSet { tag }, cause, None);
             let key = self.next_key(at.as_nanos(), gid, local);
             if self.audit.is_some() {
                 self.audit_check_timer(g, gid, key.at);
             }
-            self.queue.push(key, EvData { kind: EvKind::Timer { node: gid, tag, epoch }, trace });
+            self.queue.push(key, EvData { kind, trace });
         }
     }
 }
@@ -2801,6 +2858,165 @@ mod tests {
         }
         assert_eq!(run(1), run(2));
         assert_eq!(run(1), run(8));
+    }
+
+    // ---- delayed sends ----
+
+    /// How [`Holder`] models its hold time.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Hold {
+        /// Park the packet, arm a timer, send it from `on_timer`.
+        HandRolled,
+        /// [`NodeCtx::send_after`] / [`NodeCtx::flood_after`].
+        Engine,
+        /// No hold at all: plain [`NodeCtx::send`] / [`NodeCtx::flood`].
+        Direct,
+    }
+
+    /// A relay on port 0 that holds each packet for `hold` before passing
+    /// it on: out of port 1, or (with `flood`) out of every other port.
+    /// Packets from the far side go straight back out of port 0 after
+    /// the same hold.
+    struct Holder {
+        mode: Hold,
+        hold: SimTime,
+        flood: bool,
+        parked: Vec<Option<(PortId, Packet, bool)>>,
+    }
+    impl Holder {
+        fn new(mode: Hold, hold: SimTime, flood: bool) -> Holder {
+            Holder { mode, hold, flood, parked: Vec::new() }
+        }
+    }
+    impl Node for Holder {
+        fn on_packet(&mut self, ctx: &mut NodeCtx<'_>, port: PortId, packet: Packet) {
+            let (out, flood) =
+                if port.0 == 0 { (PortId(1), self.flood) } else { (PortId(0), false) };
+            match (self.mode, flood) {
+                (Hold::HandRolled, _) => {
+                    let out = if flood { port } else { out };
+                    ctx.set_timer(self.hold, self.parked.len() as u64);
+                    self.parked.push(Some((out, packet, flood)));
+                }
+                (Hold::Engine, false) => ctx.send_after(self.hold, out, packet),
+                (Hold::Engine, true) => ctx.flood_after(self.hold, packet, Some(port)),
+                (Hold::Direct, false) => ctx.send(out, packet),
+                (Hold::Direct, true) => ctx.flood(&packet, Some(port)),
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, tag: u64) {
+            if let Some((port, packet, flood)) = self.parked[tag as usize].take() {
+                if flood {
+                    ctx.flood(&packet, Some(port));
+                } else {
+                    ctx.send(port, packet);
+                }
+            }
+        }
+    }
+
+    /// Records the arrival time of every packet it receives.
+    struct Arrivals(Vec<u64>);
+    impl Node for Arrivals {
+        fn on_packet(&mut self, ctx: &mut NodeCtx<'_>, _: PortId, _: Packet) {
+            self.0.push(ctx.now.as_nanos());
+        }
+    }
+
+    /// Everything a delayed-send run exposes: arrival times at the pacer
+    /// side and both echoes, the counter table, and the traced event
+    /// stream as `(at, node, kind, cause, aux)` — timer tags left out,
+    /// since a delayed send is traced under [`SEND_AFTER_TAG`].
+    type HoldRun = (Vec<u64>, Vec<(&'static str, u64)>, Vec<(u64, u32, &'static str, u64, u64)>);
+
+    /// Pacer → holder → two echoes on lossy links, traced.
+    fn hold_fixture(mode: Hold, hold: SimTime, flood: bool) -> HoldRun {
+        let mut sim = Sim::new(SimConfig { seed: 5, ..Default::default() });
+        let p = sim.add_node(Box::new(Pacer::new(30)));
+        let h = sim.add_node(Box::new(Holder::new(mode, hold, flood)));
+        let a = sim.add_node(Box::new(Echo));
+        let b = sim.add_node(Box::new(Echo));
+        let tap = sim.add_node(Box::new(Arrivals(Vec::new())));
+        sim.connect(p, h, spec_1b_per_ns().with_loss(100));
+        sim.connect(h, a, spec_1b_per_ns().with_loss(100));
+        sim.connect(h, b, spec_1b_per_ns());
+        sim.connect(h, tap, spec_1b_per_ns());
+        sim.enable_trace(1 << 14);
+        sim.run_until_idle();
+        let mut arrivals = sim.node_as::<Arrivals>(tap).unwrap().0.clone();
+        arrivals.push(sim.node_as::<Pacer>(p).unwrap().received as u64);
+        let trace = sim
+            .tracer
+            .iter()
+            .map(|(_, ev)| {
+                let id = |e: Option<EventId>| e.map_or(0, |e| e.0 + 1);
+                (ev.at, ev.node, ev.kind.name(), id(ev.cause), id(ev.aux))
+            })
+            .collect();
+        (arrivals, sim.counters.iter().collect(), trace)
+    }
+
+    #[test]
+    fn send_after_matches_a_hand_rolled_timer_and_send() {
+        let hold = SimTime::from_micros(3);
+        let engine = hold_fixture(Hold::Engine, hold, false);
+        assert_eq!(engine, hold_fixture(Hold::HandRolled, hold, false));
+        // The run exercised the loss roll and the held return path.
+        assert!(engine.1.iter().any(|&(n, v)| n == "sim.packets_lost" && v > 0));
+        assert!(*engine.0.last().unwrap() > 0, "echoes made it back through the hold");
+    }
+
+    #[test]
+    fn flood_after_matches_a_hand_rolled_timer_and_flood() {
+        let hold = SimTime::from_micros(3);
+        let engine = hold_fixture(Hold::Engine, hold, true);
+        assert_eq!(engine, hold_fixture(Hold::HandRolled, hold, true));
+        assert!(engine.0.len() > 1, "the flood reached the tap");
+    }
+
+    #[test]
+    fn zero_delay_send_after_is_exactly_send() {
+        for flood in [false, true] {
+            assert_eq!(
+                hold_fixture(Hold::Engine, SimTime::ZERO, flood),
+                hold_fixture(Hold::Direct, SimTime::ZERO, flood),
+                "flood={flood}"
+            );
+        }
+    }
+
+    #[test]
+    fn crash_between_defer_and_fire_drops_the_packet() {
+        use crate::fault::FaultPlan;
+        let mut sim = Sim::new(SimConfig::default());
+        let p = sim.add_node(Box::new(Pinger { out: PortId(0), sent_at: None, rtt: None }));
+        let h = sim.add_node(Box::new(Holder::new(Hold::Engine, SimTime::from_micros(10), false)));
+        let tap = sim.add_node(Box::new(Arrivals(Vec::new())));
+        sim.connect(p, h, spec_1b_per_ns());
+        sim.connect(h, tap, spec_1b_per_ns());
+        // The ping reaches the holder at 600 ns; the holder dies holding
+        // it and comes back before the hold would have expired.
+        let plan =
+            FaultPlan::new().crash(SimTime::from_micros(5), h).restart(SimTime::from_micros(8), h);
+        sim.install_fault_plan(&plan);
+        sim.enable_metrics(metrics_cfg(1_000));
+        sim.run_until_idle();
+        sim.flush_metrics(SimTime::from_micros(20));
+        assert_eq!(sim.counters.get("sim.timers_dropped.crash"), 1);
+        assert_eq!(sim.counters.get("sim.timers"), 0);
+        assert_eq!(sim.counters.get("sim.packets_sent"), 1, "the held packet was never admitted");
+        assert!(sim.node_as::<Arrivals>(tap).unwrap().0.is_empty());
+        assert_eq!(sim.shards[0].pending_timers, vec![0, 0, 0]);
+        // Packet conservation held at every audit tick (a violation
+        // would have panicked).
+        assert!(sim.take_metrics().violations().is_empty());
+    }
+
+    #[test]
+    fn event_payload_is_no_larger_than_a_delivery() {
+        // Delayed sends ride the same queue as deliveries and timers; the
+        // queue entry must not grow for them (56 B before they existed).
+        assert!(std::mem::size_of::<EvData>() <= 56, "{}", std::mem::size_of::<EvData>());
     }
 
     // ---- flight recorder & sampled tracing ----

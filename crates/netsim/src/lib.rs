@@ -14,8 +14,9 @@
 //!   `rdv-discovery`, `rdv-rpc`, and `rdv-core`.
 //! - [`link::LinkSpec`] — full-duplex point-to-point links with propagation
 //!   latency, serialization bandwidth, and a bounded FIFO queue (tail drop).
-//! - [`engine::Sim`] — the event loop: packet deliveries and timers ordered
-//!   by `(time, sequence)` for strict determinism.
+//! - [`engine::Sim`] — the event loop: packet deliveries, timers, and
+//!   delayed sends ([`node::NodeCtx::send_after`]) ordered by
+//!   `(time, source, sequence)` for strict determinism.
 //! - [`topo`] — topology builders, including the paper's testbed (three
 //!   hosts behind four interconnected switches) and generic shapes.
 //! - [`stats`] — counters and latency histograms shared by experiments.
@@ -69,7 +70,7 @@ pub use engine::{
 pub use fault::{FaultEvent, FaultPlan};
 pub use flight::FLIGHT_COUNTERS;
 pub use link::LinkSpec;
-pub use node::{Node, NodeCtx, NodeId, PortId};
+pub use node::{Node, NodeCtx, NodeId, PortId, SEND_AFTER_TAG};
 pub use packet::Packet;
 pub use rdv_metrics::MetricsConfig;
 pub use stats::{CounterId, Counters, Histogram};

@@ -2,9 +2,9 @@
 //!
 //! A [`Node`] is the software attached to one network element. The engine
 //! calls it when a packet arrives on one of its ports or a timer it set
-//! fires; the node responds by queuing sends and timers on the
-//! [`NodeCtx`] — it never touches the engine directly, which keeps the event
-//! loop single-owner and the simulation deterministic.
+//! fires; the node responds by queuing sends, delayed sends, and timers on
+//! the [`NodeCtx`] — it never touches the engine directly, which keeps the
+//! event loop single-owner and the simulation deterministic.
 
 use rand::rngs::StdRng;
 use rdv_metrics::{AuditScope, MetricSample};
@@ -22,6 +22,21 @@ pub struct NodeId(pub usize);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PortId(pub usize);
 
+/// The timer tag the engine reserves for delayed sends: the `timer.set`,
+/// `timer.fire`, and `timer.drop` trace events of a
+/// [`NodeCtx::send_after`] / [`NodeCtx::flood_after`] carry it. Nodes
+/// must not arm timers with it.
+pub const SEND_AFTER_TAG: u64 = u64::MAX;
+
+/// A buffered timer-class action: call [`Node::on_timer`] with a tag, or
+/// transmit `packet` as [`NodeCtx::send`] on `port` would — with `flood`,
+/// as [`NodeCtx::flood`] excepting `port` would.
+#[derive(Debug)]
+pub(crate) enum TimerAction {
+    Tag(u64),
+    Send { port: Option<PortId>, flood: bool, packet: Packet },
+}
+
 /// Behaviour attached to a network element.
 ///
 /// The `Any` supertrait lets experiments downcast a node back to its
@@ -33,7 +48,9 @@ pub trait Node: std::any::Any + Send {
     /// A packet arrived on `port`.
     fn on_packet(&mut self, ctx: &mut NodeCtx<'_>, port: PortId, packet: Packet);
 
-    /// A timer set via [`NodeCtx::set_timer`] fired with its `tag`.
+    /// A timer set via [`NodeCtx::set_timer`] fired with its `tag`. Delayed
+    /// sends ([`NodeCtx::send_after`]) fire inside the engine and never
+    /// reach this callback.
     fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, tag: u64) {
         let _ = (ctx, tag);
     }
@@ -102,8 +119,10 @@ pub struct NodeCtx<'a> {
     /// selective tracing existed), or the current span anchor in sampled
     /// mode (so a send issued inside a span chains to that span).
     pub(crate) sends: &'a mut Vec<(PortId, Packet, Option<EventId>)>,
-    /// Buffered timers, with provenance snapshotted like `sends`.
-    pub(crate) timers: &'a mut Vec<(SimTime, u64, Option<EventId>)>,
+    /// Buffered timers and delayed sends, in call order, with provenance
+    /// snapshotted like `sends`. One list keeps their event keys in call
+    /// order.
+    pub(crate) timers: &'a mut Vec<(SimTime, TimerAction, Option<EventId>)>,
 }
 
 impl<'a> NodeCtx<'a> {
@@ -114,7 +133,7 @@ impl<'a> NodeCtx<'a> {
         rng: &'a mut StdRng,
         trace: TraceCtx<'a>,
         sends: &'a mut Vec<(PortId, Packet, Option<EventId>)>,
-        timers: &'a mut Vec<(SimTime, u64, Option<EventId>)>,
+        timers: &'a mut Vec<(SimTime, TimerAction, Option<EventId>)>,
     ) -> Self {
         NodeCtx { id, now, port_count, rng, trace, sends, timers }
     }
@@ -131,17 +150,56 @@ impl<'a> NodeCtx<'a> {
     /// E2E discovery.
     pub fn flood(&mut self, packet: &Packet, except: Option<PortId>) {
         let provenance = self.trace.provenance();
-        for p in 0..self.port_count {
-            if Some(PortId(p)) != except {
-                self.sends.push((PortId(p), packet.clone(), provenance));
-            }
+        push_flood(self.sends, self.port_count, packet, except, provenance);
+    }
+
+    /// Transmit `packet` out of `port` after `delay` — a modelled
+    /// processing or pipeline delay. The engine holds the packet and
+    /// admits it when the delay expires exactly as [`NodeCtx::send`]
+    /// would then; a crash in between discards it. Accounted like a timer
+    /// (`sim.timers`, `node.pending_timers`, trace tag
+    /// [`SEND_AFTER_TAG`]). A zero `delay` is exactly [`NodeCtx::send`].
+    pub fn send_after(&mut self, delay: SimTime, port: PortId, packet: Packet) {
+        if delay == SimTime::ZERO {
+            return self.send(port, packet);
         }
+        debug_assert!(port.0 < self.port_count, "send on unattached port");
+        let action = TimerAction::Send { port: Some(port), flood: false, packet };
+        self.timers.push((self.now + delay, action, self.trace.provenance()));
+    }
+
+    /// [`NodeCtx::flood`] after `delay`, with the semantics of
+    /// [`NodeCtx::send_after`]. A zero `delay` is exactly
+    /// [`NodeCtx::flood`].
+    pub fn flood_after(&mut self, delay: SimTime, packet: Packet, except: Option<PortId>) {
+        if delay == SimTime::ZERO {
+            return self.flood(&packet, except);
+        }
+        let action = TimerAction::Send { port: except, flood: true, packet };
+        self.timers.push((self.now + delay, action, self.trace.provenance()));
     }
 
     /// Arrange for [`Node::on_timer`] to fire `delay` from now with `tag`.
     pub fn set_timer(&mut self, delay: SimTime, tag: u64) {
+        debug_assert_ne!(tag, SEND_AFTER_TAG, "timer tag reserved for delayed sends");
         let provenance = self.trace.provenance();
-        self.timers.push((self.now + delay, tag, provenance));
+        self.timers.push((self.now + delay, TimerAction::Tag(tag), provenance));
+    }
+}
+
+/// Queue a copy of `packet` for every port but `except` — the fan-out
+/// shared by [`NodeCtx::flood`] and the engine's delayed floods.
+pub(crate) fn push_flood(
+    sends: &mut Vec<(PortId, Packet, Option<EventId>)>,
+    port_count: usize,
+    packet: &Packet,
+    except: Option<PortId>,
+    provenance: Option<EventId>,
+) {
+    for p in 0..port_count {
+        if Some(PortId(p)) != except {
+            sends.push((PortId(p), packet.clone(), provenance));
+        }
     }
 }
 
@@ -166,7 +224,50 @@ mod tests {
         ctx.send(PortId(1), Packet::new(vec![1], 0));
         ctx.set_timer(SimTime::from_micros(10), 77);
         assert_eq!(sends.len(), 1);
-        assert_eq!(timers, vec![(SimTime::from_micros(15), 77, None)]);
+        assert_eq!(timers.len(), 1);
+        assert!(
+            matches!(timers[0], (t, TimerAction::Tag(77), None) if t == SimTime::from_micros(15))
+        );
+    }
+
+    #[test]
+    fn delayed_sends_share_the_timer_list_in_call_order() {
+        let mut rng = StdRng::seed_from_u64(1); // rdv-lint: allow(rng-stream) -- test-local stream with a fixed seed; never crosses a node or shard boundary
+        let (mut sends, mut timers) = (Vec::new(), Vec::new());
+        let mut ctx = NodeCtx::new(
+            NodeId(0),
+            SimTime::from_micros(5),
+            3,
+            &mut rng,
+            TraceCtx::inert(),
+            &mut sends,
+            &mut timers,
+        );
+        ctx.send_after(SimTime::from_micros(2), PortId(1), Packet::new(vec![1], 0));
+        ctx.set_timer(SimTime::from_micros(1), 9);
+        ctx.flood_after(SimTime::from_micros(3), Packet::new(vec![2], 0), Some(PortId(0)));
+        // Zero delay is a plain send/flood: nothing is buffered as a timer.
+        ctx.send_after(SimTime::ZERO, PortId(2), Packet::new(vec![3], 0));
+        ctx.flood_after(SimTime::ZERO, Packet::new(vec![4], 0), Some(PortId(1)));
+        let ports: Vec<usize> = sends.iter().map(|(p, _, _)| p.0).collect();
+        assert_eq!(ports, vec![2, 0, 2]);
+        let armed: Vec<(u64, Option<u64>, Option<usize>, bool)> = timers
+            .iter()
+            .map(|(at, action, _)| match action {
+                TimerAction::Tag(tag) => (at.as_nanos(), Some(*tag), None, false),
+                TimerAction::Send { port, flood, .. } => {
+                    (at.as_nanos(), None, port.map(|p| p.0), *flood)
+                }
+            })
+            .collect();
+        assert_eq!(
+            armed,
+            vec![
+                (7_000, None, Some(1), false),
+                (6_000, Some(9), None, false),
+                (8_000, None, Some(0), true)
+            ]
+        );
     }
 
     #[test]

@@ -10,7 +10,6 @@
 //! repo's "P4Runtime"): controllers send [`ControlMsg`]-bearing packets to
 //! program tables remotely.
 
-use rdv_det::DetMap;
 use std::sync::OnceLock;
 
 use rdv_netsim::{CounterId, Node, NodeCtx, Packet, PortId, SimTime};
@@ -229,7 +228,9 @@ impl Pipeline {
 /// Configuration of a [`SwitchNode`].
 #[derive(Debug, Clone, Copy)]
 pub struct SwitchConfig {
-    /// Fixed dataplane traversal latency applied to every forwarded packet.
+    /// Fixed dataplane traversal latency applied to every forwarded packet
+    /// (modelled as an engine-held delayed send, see
+    /// [`NodeCtx::send_after`]).
     pub pipeline_latency: SimTime,
     /// Port leading to the SDN controller (target of `Action::Punt`).
     pub controller_port: Option<PortId>,
@@ -260,8 +261,6 @@ pub struct SwitchNode {
     pub pipeline: Pipeline,
     cfg: SwitchConfig,
     label: String,
-    pending: DetMap<u64, Vec<(Option<PortId>, Packet, bool)>>,
-    next_tag: u64,
     seen_floods: rdv_det::DetSet<(u128, u64)>,
     /// Local counters: `hit`, `miss`, `flood`, `punt`, `drop`, `control`.
     pub counters: rdv_netsim::Counters,
@@ -274,24 +273,9 @@ impl SwitchNode {
             pipeline,
             cfg,
             label: label.into(),
-            pending: DetMap::new(),
-            next_tag: 0,
             seen_floods: rdv_det::DetSet::new(),
             counters: rdv_netsim::Counters::new(),
         }
-    }
-
-    fn defer_send(
-        &mut self,
-        ctx: &mut NodeCtx<'_>,
-        port: Option<PortId>,
-        packet: Packet,
-        flood_except_ingress: bool,
-    ) {
-        let tag = self.next_tag;
-        self.next_tag += 1;
-        self.pending.entry(tag).or_default().push((port, packet, flood_except_ingress));
-        ctx.set_timer(self.cfg.pipeline_latency, tag);
     }
 }
 
@@ -338,7 +322,7 @@ impl Node for SwitchNode {
         match self.pipeline.apply(&packet.payload) {
             Ok(Action::Forward(out)) => {
                 self.counters.inc_id(ctr().hit);
-                self.defer_send(ctx, Some(PortId(out)), packet, false);
+                ctx.send_after(self.cfg.pipeline_latency, PortId(out), packet);
             }
             Ok(Action::Flood) => {
                 if self.cfg.dedup_floods {
@@ -354,13 +338,12 @@ impl Node for SwitchNode {
                     }
                 }
                 self.counters.inc_id(ctr().flood);
-                // Record ingress in the packet slot; flood at timer time.
-                self.defer_send(ctx, Some(port), packet, true);
+                ctx.flood_after(self.cfg.pipeline_latency, packet, Some(port));
             }
             Ok(Action::Punt) => {
                 self.counters.inc_id(ctr().punt);
                 if let Some(cport) = self.cfg.controller_port {
-                    self.defer_send(ctx, Some(cport), packet, false);
+                    ctx.send_after(self.cfg.pipeline_latency, cport, packet);
                 } else {
                     self.counters.inc_id(ctr().drop);
                 }
@@ -370,18 +353,6 @@ impl Node for SwitchNode {
             }
             Err(_) => {
                 self.counters.inc_id(ctr().parse_error);
-            }
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, tag: u64) {
-        if let Some(actions) = self.pending.remove(&tag) {
-            for (port, packet, flood) in actions {
-                if flood {
-                    ctx.flood(&packet, port);
-                } else if let Some(p) = port {
-                    ctx.send(p, packet);
-                }
             }
         }
     }

@@ -73,16 +73,12 @@ pub struct ClientNode {
     /// The call plan; timer tag `i` issues `plan[i]`.
     pub plan: Vec<PlannedCall>,
     pending: DetMap<u64, Pending>,
-    deferred: DetMap<u64, (u64, RpcMsg)>, // defer id -> (req, msg)
     next_req: u64,
-    next_defer: u64,
     next_trace: u64,
     /// Completed calls in completion order.
     pub records: Vec<CallRecord>,
 }
 
-/// Timer-tag bit marking a deferred (post-serialization) transmission.
-const DEFER: u64 = 1 << 62;
 /// Timer-tag bit marking a call deadline (low bits = req id).
 const TIMEOUT: u64 = 1 << 61;
 
@@ -94,9 +90,7 @@ impl ClientNode {
             inbox,
             plan: Vec::new(),
             pending: DetMap::new(),
-            deferred: DetMap::new(),
             next_req: 1,
-            next_defer: 0,
             next_trace: 1,
             records: Vec::new(),
         }
@@ -113,9 +107,13 @@ impl ClientNode {
     }
 
     fn transmit(&mut self, ctx: &mut NodeCtx<'_>, msg: RpcMsg) {
+        self.transmit_after(ctx, SimTime::ZERO, msg);
+    }
+
+    fn transmit_after(&mut self, ctx: &mut NodeCtx<'_>, delay: SimTime, msg: RpcMsg) {
         let trace = self.next_trace;
         self.next_trace += 1;
-        ctx.send(PortId(0), Packet::new(msg.encode(), trace));
+        ctx.send_after(delay, PortId(0), Packet::new(msg.encode(), trace));
     }
 
     fn issue(&mut self, ctx: &mut NodeCtx<'_>, index: usize) {
@@ -159,14 +157,8 @@ impl ClientNode {
                 args: call.args.clone(),
             },
         );
-        if call.serialize_ns == 0 {
-            self.transmit(ctx, msg);
-        } else {
-            let id = self.next_defer;
-            self.next_defer += 1;
-            self.deferred.insert(id, (req, msg));
-            ctx.set_timer(SimTime::from_nanos(call.serialize_ns), DEFER | id);
-        }
+        // Request serialization time elapses before the bytes hit the wire.
+        self.transmit_after(ctx, SimTime::from_nanos(call.serialize_ns), msg);
     }
 
     fn complete(&mut self, now: SimTime, req: u64, result: Result<Vec<u8>, RpcError>) {
@@ -206,11 +198,7 @@ impl Node for ClientNode {
     }
 
     fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, tag: u64) {
-        if tag & DEFER != 0 {
-            if let Some((_req, msg)) = self.deferred.remove(&(tag & !DEFER)) {
-                self.transmit(ctx, msg);
-            }
-        } else if tag & TIMEOUT != 0 {
+        if tag & TIMEOUT != 0 {
             let req = tag & !TIMEOUT;
             if self.pending.contains_key(&req) {
                 self.complete(ctx.now, req, Err(RpcError::Timeout));

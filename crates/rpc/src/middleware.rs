@@ -25,8 +25,6 @@ pub struct LoadBalancerNode {
     pub proc_delay: SimTime,
     /// req → original caller inbox.
     inflight: DetMap<u64, ObjId>,
-    deferred: DetMap<u64, RpcMsg>,
-    next_defer: u64,
     next_trace: u64,
     /// Requests proxied.
     pub proxied: u64,
@@ -43,8 +41,6 @@ impl LoadBalancerNode {
             rr: 0,
             proc_delay: SimTime::from_micros(5),
             inflight: DetMap::new(),
-            deferred: DetMap::new(),
-            next_defer: 0,
             next_trace: 1,
             proxied: 0,
         }
@@ -56,10 +52,9 @@ impl LoadBalancerNode {
     }
 
     fn forward_later(&mut self, ctx: &mut NodeCtx<'_>, msg: RpcMsg) {
-        let id = self.next_defer;
-        self.next_defer += 1;
-        self.deferred.insert(id, msg);
-        ctx.set_timer(self.proc_delay, id);
+        let trace = self.next_trace;
+        self.next_trace += 1;
+        ctx.send_after(self.proc_delay, PortId(0), Packet::new(msg.encode(), trace));
     }
 }
 
@@ -99,14 +94,6 @@ impl Node for LoadBalancerNode {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, tag: u64) {
-        if let Some(msg) = self.deferred.remove(&tag) {
-            let trace = self.next_trace;
-            self.next_trace += 1;
-            ctx.send(PortId(0), Packet::new(msg.encode(), trace));
-        }
-    }
-
     fn name(&self) -> &str {
         &self.label
     }
@@ -119,8 +106,6 @@ pub struct DiscoveryServiceNode {
     directory: DetMap<String, ObjId>,
     /// Lookup processing time.
     pub proc_delay: SimTime,
-    deferred: DetMap<u64, RpcMsg>,
-    next_defer: u64,
     next_trace: u64,
     /// Lookups served.
     pub lookups: u64,
@@ -134,8 +119,6 @@ impl DiscoveryServiceNode {
             inbox,
             directory: DetMap::new(),
             proc_delay: SimTime::from_micros(5),
-            deferred: DetMap::new(),
-            next_defer: 0,
             next_trace: 1,
             lookups: 0,
         }
@@ -162,18 +145,9 @@ impl Node for DiscoveryServiceNode {
             self.lookups += 1;
             let server = self.directory.get(&name).copied().unwrap_or(ObjId::NIL);
             let reply = RpcMsg::new(msg.src, self.inbox, RpcBody::LookupResp { req, server });
-            let id = self.next_defer;
-            self.next_defer += 1;
-            self.deferred.insert(id, reply);
-            ctx.set_timer(self.proc_delay, id);
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, tag: u64) {
-        if let Some(msg) = self.deferred.remove(&tag) {
             let trace = self.next_trace;
             self.next_trace += 1;
-            ctx.send(PortId(0), Packet::new(msg.encode(), trace));
+            ctx.send_after(self.proc_delay, PortId(0), Packet::new(reply.encode(), trace));
         }
     }
 

@@ -15,8 +15,6 @@ pub struct ServerNode {
     services: DetMap<u32, Box<dyn Service>>,
     /// Fixed per-request software overhead (request parse, scheduling).
     pub base_delay: SimTime,
-    deferred: DetMap<u64, RpcMsg>,
-    next_defer: u64,
     next_trace: u64,
     /// Requests served (including errors).
     pub requests: u64,
@@ -30,8 +28,6 @@ impl ServerNode {
             inbox,
             services: DetMap::new(),
             base_delay: SimTime::from_micros(2),
-            deferred: DetMap::new(),
-            next_defer: 0,
             next_trace: 1,
             requests: 0,
         }
@@ -53,10 +49,9 @@ impl ServerNode {
     }
 
     fn reply_later(&mut self, ctx: &mut NodeCtx<'_>, delay: SimTime, msg: RpcMsg) {
-        let id = self.next_defer;
-        self.next_defer += 1;
-        self.deferred.insert(id, msg);
-        ctx.set_timer(delay, id);
+        let trace = self.next_trace;
+        self.next_trace += 1;
+        ctx.send_after(delay, PortId(0), Packet::new(msg.encode(), trace));
     }
 }
 
@@ -90,14 +85,6 @@ impl Node for ServerNode {
             let out = RpcMsg::new(msg.src, self.inbox, reply_body);
             let delay = self.base_delay;
             self.reply_later(ctx, delay, out);
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, tag: u64) {
-        if let Some(msg) = self.deferred.remove(&tag) {
-            let trace = self.next_trace;
-            self.next_trace += 1;
-            ctx.send(PortId(0), Packet::new(msg.encode(), trace));
         }
     }
 
