@@ -444,7 +444,9 @@ fn queue_delay(processed: u64) -> u64 {
 
 fn queue_storm_calendar() -> u64 {
     use rdv_netsim::queue::{CalendarQueue, EventKey};
-    // The engine's own parameters: 4 µs buckets, 512-slot ring.
+    // The engine's fallback geometry (no links to derive one from): 4 µs
+    // buckets, 512-slot ring. With 600 ns delays nearly every push lands
+    // in the bucket being drained, so this times the late-heap path.
     let mut q: CalendarQueue<u64> = CalendarQueue::new(1 << 12, 512);
     for i in 0..QUEUE_DEPTH {
         q.push(EventKey { at: queue_delay(i), src: 1, seq: i }, i);
@@ -477,6 +479,71 @@ fn queue_storm_heap() -> u64 {
     processed
 }
 
+/// `rack_storm`'s shape: every flow's event lands on the same instant as
+/// every other flow's, one 500 ns hop after the last, so each instant is a
+/// wave of `STORM_FLOWS` simultaneous events. Payloads are the engine's
+/// 56-byte event size.
+const STORM_FLOWS: u64 = 100_000;
+const STORM_WAVES: u64 = 5;
+const STORM_HOP_NS: u64 = 500;
+type Payload = [u64; 7];
+
+/// The storm through the calendar queue, at the geometry the engine
+/// derives for 500 ns links (256 ns buckets, 8,192-slot ring).
+fn queue_storm_same_instant() -> u64 {
+    use rdv_netsim::queue::{CalendarQueue, EventKey};
+    let mut q: CalendarQueue<Payload> = CalendarQueue::new(256, 8192);
+    for f in 0..STORM_FLOWS {
+        q.push(EventKey { at: STORM_HOP_NS, src: f as u32 + 1, seq: 0 }, [f; 7]);
+    }
+    let mut processed = 0u64;
+    while let Some((key, p)) = q.pop() {
+        processed += 1;
+        if key.seq + 1 < STORM_WAVES {
+            let next = EventKey { at: key.at + STORM_HOP_NS, src: key.src, seq: key.seq + 1 };
+            q.push(next, p);
+        }
+    }
+    processed
+}
+
+/// The same storm through a `BinaryHeap` of keyed payloads.
+fn queue_storm_same_instant_heap() -> u64 {
+    use rdv_netsim::queue::EventKey;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+    struct Entry(EventKey, Payload);
+    impl PartialEq for Entry {
+        fn eq(&self, other: &Self) -> bool {
+            self.0 == other.0
+        }
+    }
+    impl Eq for Entry {}
+    impl PartialOrd for Entry {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl Ord for Entry {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            self.0.cmp(&other.0)
+        }
+    }
+    let mut q: BinaryHeap<Reverse<Entry>> = BinaryHeap::new();
+    for f in 0..STORM_FLOWS {
+        q.push(Reverse(Entry(EventKey { at: STORM_HOP_NS, src: f as u32 + 1, seq: 0 }, [f; 7])));
+    }
+    let mut processed = 0u64;
+    while let Some(Reverse(Entry(key, p))) = q.pop() {
+        processed += 1;
+        if key.seq + 1 < STORM_WAVES {
+            let next = EventKey { at: key.at + STORM_HOP_NS, src: key.src, seq: key.seq + 1 };
+            q.push(Reverse(Entry(next, p)));
+        }
+    }
+    processed
+}
+
 fn bench(c: &mut Criterion) {
     let events = run_interned();
     let baseline_events = run_string_keyed();
@@ -494,6 +561,17 @@ fn bench(c: &mut Criterion) {
     group.throughput(Throughput::Elements(QUEUE_OPS));
     group.bench_function("queue_storm_calendar", |b| b.iter(|| black_box(queue_storm_calendar())));
     group.bench_function("queue_storm_heap_baseline", |b| b.iter(|| black_box(queue_storm_heap())));
+
+    let storm_ops = queue_storm_same_instant();
+    assert_eq!(storm_ops, STORM_FLOWS * STORM_WAVES);
+    assert_eq!(storm_ops, queue_storm_same_instant_heap(), "same op count on both queues");
+    group.throughput(Throughput::Elements(storm_ops));
+    group.bench_function("queue_storm_same_instant", |b| {
+        b.iter(|| black_box(queue_storm_same_instant()))
+    });
+    group.bench_function("queue_storm_same_instant_heap_baseline", |b| {
+        b.iter(|| black_box(queue_storm_same_instant_heap()))
+    });
     group.finish();
 }
 

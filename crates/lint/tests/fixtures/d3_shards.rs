@@ -7,4 +7,8 @@ fn naughty(c: &mut Counters, m: &mut MetricSample<'_>) {
     c.add("sim.shard.worker_spawns", 3);
     m.gauge("shard.queue_events", 4);
     m.gauge("shard.clock_ns", 5);
+    c.add("sim.shard.queue_pushes_current", 6);
+    c.add("sim.shard.queue_pushes_ring", 7);
+    c.add("sim.shard.queue_pushes_overflow", 8);
+    c.add("sim.shard.queue_run_max", 9);
 }

@@ -128,6 +128,10 @@ fn d3_covers_the_sharded_engine_names() {
             "sim.shard.windows",
             "sim.shard.xshard_packets",
             "sim.shard.worker_spawns",
+            "sim.shard.queue_pushes_current",
+            "sim.shard.queue_pushes_ring",
+            "sim.shard.queue_pushes_overflow",
+            "sim.shard.queue_run_max",
         ]
         .map(String::from)
         .to_vec(),
@@ -142,7 +146,7 @@ fn d3_covers_the_sharded_engine_names() {
     assert_eq!(
         locs(&diags),
         vec![(3, "D3/counter-name"), (4, "D3/gauge-name")],
-        "registered shard names (lines 5–9) must pass; got: {diags:#?}"
+        "registered shard names (lines 5–13) must pass; got: {diags:#?}"
     );
     assert!(diags[0].message.contains("not a registered engine counter"));
     assert!(diags[1].message.contains("not a registered gauge"));
@@ -236,7 +240,15 @@ fn real_registries_carry_the_shard_names() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).parent().unwrap().parent().unwrap();
     let stats = std::fs::read_to_string(root.join("crates/netsim/src/stats.rs")).unwrap();
     let slots = parse_engine_slots(&stats);
-    for name in ["sim.shard.windows", "sim.shard.xshard_packets", "sim.shard.worker_spawns"] {
+    for name in [
+        "sim.shard.windows",
+        "sim.shard.xshard_packets",
+        "sim.shard.worker_spawns",
+        "sim.shard.queue_pushes_current",
+        "sim.shard.queue_pushes_ring",
+        "sim.shard.queue_pushes_overflow",
+        "sim.shard.queue_run_max",
+    ] {
         assert!(slots.iter().any(|s| s == name), "{name} missing from ENGINE_SLOTS");
     }
     let metrics = std::fs::read_to_string(root.join("crates/metrics/src/lib.rs")).unwrap();

@@ -12,17 +12,18 @@
 //!
 //! Execution modes:
 //!
-//! - **Serial** (one shard, tracing enabled, or a zero-latency cross-shard
-//!   link): pop the globally smallest key, one event at a time — the
-//!   classic loop.
-//! - **Parallel** (conservative lookahead): shards advance together
+//! - **Serial** (tracing enabled, or a zero-latency cross-shard link): pop
+//!   the globally smallest key, one event at a time — the classic loop.
+//! - **Windowed** (conservative lookahead): shards advance together
 //!   through windows `[N, E)` where `E − N` is bounded by the minimum
 //!   cross-shard link latency. A packet sent during a window arrives no
 //!   earlier than its link's latency after the send, i.e. at or after `E`,
 //!   so shards cannot affect each other *within* a window; cross-shard
 //!   deliveries ride an outbox and merge into the destination queues at
 //!   the barrier. Faults and metrics samples are applied only at barriers,
-//!   which the window bound also respects.
+//!   which the window bound also respects. A single shard has no
+//!   cross-shard links, so its window runs inline up to the next fault,
+//!   deadline or metrics tick.
 
 use std::any::Any;
 use std::cmp::Reverse;
@@ -43,13 +44,15 @@ use crate::flight;
 use crate::link::{Direction, Link, LinkId, LinkRate, LinkSpec};
 use crate::node::{push_flood, Node, NodeCtx, NodeId, PortId, TimerAction, SEND_AFTER_TAG};
 use crate::packet::Packet;
-use crate::queue::{CalendarQueue, EventKey};
+use crate::queue::{CalendarQueue, EventKey, QueueStats};
 use crate::stats::{
     Counters, ENGINE_OUTPUT_SLOTS, ENGINE_SLOTS, ENGINE_SLOT_IDS, SIM_DELIVERIES_DROPPED_CRASH,
     SIM_EVENTS, SIM_FAULTS_APPLIED, SIM_PACKETS_DELIVERED, SIM_PACKETS_DROPPED,
     SIM_PACKETS_DROPPED_BAD_PORT, SIM_PACKETS_DROPPED_DEAD_NODE, SIM_PACKETS_DROPPED_LINK_DOWN,
-    SIM_PACKETS_DROPPED_PARTITION, SIM_PACKETS_LOST, SIM_PACKETS_SENT, SIM_SHARD_WINDOWS,
-    SIM_SHARD_WORKER_SPAWNS, SIM_SHARD_XSHARD_PACKETS, SIM_TIMERS, SIM_TIMERS_DROPPED_CRASH,
+    SIM_PACKETS_DROPPED_PARTITION, SIM_PACKETS_LOST, SIM_PACKETS_SENT,
+    SIM_SHARD_QUEUE_PUSHES_CURRENT, SIM_SHARD_QUEUE_PUSHES_OVERFLOW, SIM_SHARD_QUEUE_PUSHES_RING,
+    SIM_SHARD_QUEUE_RUN_MAX, SIM_SHARD_WINDOWS, SIM_SHARD_WORKER_SPAWNS, SIM_SHARD_XSHARD_PACKETS,
+    SIM_TIMERS, SIM_TIMERS_DROPPED_CRASH,
 };
 use crate::time::SimTime;
 
@@ -97,12 +100,33 @@ fn node_stream_seed(root: u64, gid: u64) -> u64 {
     root ^ 0x9E3779B97F4A7C15u64.wrapping_mul(gid + 1)
 }
 
-/// Calendar-queue geometry for shard event queues: 4096 ns buckets, 512
-/// buckets ≈ 2 ms of ring horizon — comfortably covering rack/edge
-/// latencies and protocol timers; anything farther parks in the overflow
-/// heap.
+/// Fallback calendar-queue geometry for shard event queues (no links, or
+/// a zero-latency link): 4096 ns buckets, 512 buckets ≈ 2 ms of ring
+/// horizon — comfortably covering rack/edge latencies and protocol
+/// timers; anything farther parks in the overflow heap.
 const QUEUE_BUCKET_WIDTH_NS: u64 = 1 << 12;
 const QUEUE_BUCKETS: usize = 512;
+/// Ring horizon every derived geometry keeps (≈ 2 ms, as above).
+const QUEUE_HORIZON_NS: u64 = QUEUE_BUCKET_WIDTH_NS * QUEUE_BUCKETS as u64;
+/// Ring-size ceiling, so nanosecond links cannot blow the ring up.
+const QUEUE_MAX_BUCKETS: u64 = 8192;
+
+/// Calendar geometry `(bucket width ns, buckets)` for a fabric whose
+/// fastest link takes `min_latency_ns`. The width is that latency floored
+/// to a power of two, so a delivery — due at least one link latency after
+/// the event that sent it — always lands in a later bucket than the
+/// current one, and a same-instant wave of deliveries is sorted once as
+/// a run instead of heap-ordered push by push. The ring keeps the ≈ 2 ms
+/// horizon, capped at [`QUEUE_MAX_BUCKETS`].
+fn queue_geometry(min_latency_ns: Option<u64>) -> (u64, usize) {
+    match min_latency_ns {
+        Some(lat) if lat > 0 => {
+            let width = 1u64 << lat.ilog2();
+            (width, (QUEUE_HORIZON_NS / width).clamp(1, QUEUE_MAX_BUCKETS) as usize)
+        }
+        _ => (QUEUE_BUCKET_WIDTH_NS, QUEUE_BUCKETS),
+    }
+}
 
 /// Engine configuration.
 #[derive(Debug, Clone, Copy)]
@@ -230,7 +254,7 @@ struct Globals {
     alive: Vec<bool>,
     /// Per node: crash epoch. Bumped on every crash so events scheduled
     /// before the crash can be recognized and discarded on pop. `u32`
-    /// keeps packet-carrying queue entries at 40 bytes.
+    /// keeps every event payload at the 56 bytes of a delivery.
     epochs: Vec<u32>,
     /// Registered partitions (from installed fault plans).
     partitions: Vec<Partition>,
@@ -940,9 +964,11 @@ impl Sim {
     }
 
     /// Execution statistics (`sim.shard.windows`, `sim.shard.
-    /// xshard_packets`, `sim.shard.worker_spawns`). These describe *how*
-    /// the run executed, not *what* it simulated — they vary with
-    /// `--shards` and are therefore never folded into [`Sim::counters`].
+    /// xshard_packets`, `sim.shard.worker_spawns`, and the event queues'
+    /// `sim.shard.queue_pushes_{current,ring,overflow}` and
+    /// `sim.shard.queue_run_max`). These describe *how* the run executed,
+    /// not *what* it simulated — they vary with `--shards` and are
+    /// therefore never folded into [`Sim::counters`].
     pub fn exec_stats(&self) -> &Counters {
         &self.exec
     }
@@ -1504,6 +1530,13 @@ impl Sim {
             return;
         }
         self.started = true;
+        // Derived once, from the wired fabric; refs queued by
+        // `schedule` beforehand are re-filed (a no-op at the fallback).
+        let min_latency = self.globals.links.iter().map(|l| l.spec.latency.as_nanos()).min();
+        let (width, buckets) = queue_geometry(min_latency);
+        for s in self.shards.iter_mut() {
+            s.queue.set_geometry(width, buckets);
+        }
         for gid in 0..self.globals.node_loc.len() {
             self.dispatch_coord(NodeId(gid), None, |n, ctx| n.on_start(ctx));
         }
@@ -1650,7 +1683,7 @@ impl Sim {
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
         self.start_if_needed();
         let deadline_ns = deadline.as_nanos();
-        let serial = self.nshards == 1 || self.tracer.is_enabled() || self.zero_lookahead;
+        let serial = self.tracer.is_enabled() || self.zero_lookahead;
         let mut processed = 0u64;
         loop {
             let mut next_ev = u64::MAX;
@@ -1690,8 +1723,31 @@ impl Sim {
             }
         }
         self.refresh_counters();
+        self.refresh_queue_stats();
         self.audit_check_barrier();
         processed
+    }
+
+    /// Fold the shard queues' push and sorted-run counts into the
+    /// execution statistics: pushes summed, run high-water mark maxed.
+    fn refresh_queue_stats(&mut self) {
+        let mut sum = QueueStats::default();
+        for s in &self.shards {
+            let st = s.queue.stats();
+            sum.pushes_current += st.pushes_current;
+            sum.pushes_ring += st.pushes_ring;
+            sum.pushes_overflow += st.pushes_overflow;
+            sum.run_max = sum.run_max.max(st.run_max);
+        }
+        for (id, v) in [
+            (SIM_SHARD_QUEUE_PUSHES_CURRENT, sum.pushes_current),
+            (SIM_SHARD_QUEUE_PUSHES_RING, sum.pushes_ring),
+            (SIM_SHARD_QUEUE_PUSHES_OVERFLOW, sum.pushes_overflow),
+            (SIM_SHARD_QUEUE_RUN_MAX, sum.run_max),
+        ] {
+            // Both only grow, so the difference is what is new.
+            self.exec.add_id(id, v - self.exec.get_id(id));
+        }
     }
 
     /// Pop and apply the earliest pending fault.
@@ -1733,7 +1789,7 @@ impl Sim {
         self.audit_check_barrier();
     }
 
-    /// Parallel mode: run one conservative-lookahead window starting at
+    /// Windowed mode: run one conservative-lookahead window starting at
     /// `start_ns` across all shards with due events, then merge
     /// cross-shard traffic at the barrier. Returns events processed.
     fn run_window(&mut self, start_ns: u64, next_fault_ns: u64, deadline_ns: u64) -> u64 {
@@ -2801,6 +2857,95 @@ mod tests {
         assert!(sim.counters.iter().all(|(name, _)| !name.starts_with("sim.shard.")));
     }
 
+    /// `rack_storm`'s shape scaled down to 16 racks × 64 hosts on 500 ns
+    /// host links and 2 µs trunks: every host bursts two packets at t = 0
+    /// and bounces its echoes a few times; every switch echoes host
+    /// traffic and relays four packets once round the trunk ring.
+    fn small_rack_storm(shards: usize) -> Sim {
+        struct Host {
+            left: u64,
+        }
+        impl Node for Host {
+            fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
+                for i in 0..2 {
+                    ctx.send(PortId(0), Packet::new(vec![0u8; 64], i));
+                }
+            }
+            fn on_packet(&mut self, ctx: &mut NodeCtx<'_>, port: PortId, packet: Packet) {
+                if self.left > 0 {
+                    self.left -= 1;
+                    ctx.send(port, packet);
+                }
+            }
+        }
+        struct Switch {
+            hosts: usize,
+            hops: u64,
+        }
+        impl Node for Switch {
+            fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
+                for _ in 0..4 {
+                    ctx.send(PortId(self.hosts), Packet::new(vec![0u8; 128], self.hops));
+                }
+            }
+            fn on_packet(&mut self, ctx: &mut NodeCtx<'_>, port: PortId, packet: Packet) {
+                if port.0 < self.hosts {
+                    ctx.send(port, packet);
+                } else if packet.trace > 0 {
+                    ctx.send(PortId(self.hosts), Packet::new(packet.payload, packet.trace - 1));
+                }
+            }
+        }
+        let (racks, hosts) = (16, 64);
+        let trunk = LinkSpec { latency: SimTime::from_micros(2), ..spec_1b_per_ns() };
+        let mut sim = Sim::new(SimConfig { seed: 5, shards, ..Default::default() });
+        crate::topo::build_rack_ring(
+            &mut sim,
+            racks,
+            hosts,
+            |_| Box::new(Switch { hosts, hops: racks as u64 }),
+            |i| Box::new(Host { left: 4 + (i % 13) as u64 }),
+            spec_1b_per_ns(),
+            trunk,
+        );
+        sim.run_until_idle();
+        sim
+    }
+
+    #[test]
+    fn derived_bucket_width_keeps_a_rack_storm_out_of_the_current_bucket() {
+        let flat = small_rack_storm(1);
+        // 500 ns links: 256 ns buckets, the ring keeping the 2 ms horizon.
+        assert_eq!(flat.shards[0].queue.geometry(), (256, 8192));
+        let exec = flat.exec_stats();
+        let current = exec.get("sim.shard.queue_pushes_current");
+        let pushes = current
+            + exec.get("sim.shard.queue_pushes_ring")
+            + exec.get("sim.shard.queue_pushes_overflow");
+        assert!(pushes > 10_000, "{pushes} pushes");
+        assert!(current * 100 < pushes, "{current} of {pushes} pushes hit the current bucket");
+        // The 1,024 hosts' first packets reach their switches at one
+        // instant and drain as one sorted run.
+        assert!(exec.get("sim.shard.queue_run_max") >= 1024);
+        let output = |sim: &Sim| (sim.counters.iter().collect::<Vec<_>>(), sim.now());
+        for shards in [2, 8] {
+            let sharded = small_rack_storm(shards);
+            assert_eq!(output(&sharded), output(&flat), "--shards {shards}");
+            assert!(sharded.exec_stats().get("sim.shard.windows") > 0);
+        }
+    }
+
+    #[test]
+    fn bucket_geometry_follows_the_fastest_link() {
+        assert_eq!(queue_geometry(None), (QUEUE_BUCKET_WIDTH_NS, QUEUE_BUCKETS));
+        assert_eq!(queue_geometry(Some(0)), (QUEUE_BUCKET_WIDTH_NS, QUEUE_BUCKETS));
+        assert_eq!(queue_geometry(Some(500)), (256, 8192));
+        assert_eq!(queue_geometry(Some(1)), (1, 8192), "ns links cannot blow the ring up");
+        assert_eq!(queue_geometry(Some(4096)), (4096, 512));
+        assert_eq!(queue_geometry(Some(2_000)), (1024, 2048));
+        assert_eq!(queue_geometry(Some(10_000_000)), (1 << 23, 1));
+    }
+
     #[test]
     fn shard_telemetry_gauges_are_opt_in() {
         fn run(telemetry: bool) -> Vec<String> {
@@ -3017,6 +3162,10 @@ mod tests {
         // Delayed sends ride the same queue as deliveries and timers; the
         // queue entry must not grow for them (56 B before they existed).
         assert!(std::mem::size_of::<EvData>() <= 56, "{}", std::mem::size_of::<EvData>());
+        // Nor may the queue's slab slot, which threads its free list
+        // through vacant payloads.
+        let slot = std::mem::size_of::<crate::queue::Slot<EvData>>();
+        assert!(slot <= 56, "{slot}");
     }
 
     // ---- flight recorder & sampled tracing ----

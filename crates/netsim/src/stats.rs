@@ -59,6 +59,19 @@ pub const SIM_SHARD_XSHARD_PACKETS: CounterId = CounterId(14);
 /// `sim.shard.worker_spawns` — shard worker threads spawned across all
 /// windows (execution statistic, see [`SIM_SHARD_WINDOWS`]).
 pub const SIM_SHARD_WORKER_SPAWNS: CounterId = CounterId(15);
+/// `sim.shard.queue_pushes_current` — event-queue pushes due in the bucket
+/// being drained (or earlier), which pay a heap insert (execution
+/// statistic, see [`SIM_SHARD_WINDOWS`]).
+pub const SIM_SHARD_QUEUE_PUSHES_CURRENT: CounterId = CounterId(16);
+/// `sim.shard.queue_pushes_ring` — event-queue pushes into a future ring
+/// bucket, an `O(1)` append (execution statistic).
+pub const SIM_SHARD_QUEUE_PUSHES_RING: CounterId = CounterId(17);
+/// `sim.shard.queue_pushes_overflow` — event-queue pushes beyond the ring
+/// horizon, into the overflow heap (execution statistic).
+pub const SIM_SHARD_QUEUE_PUSHES_OVERFLOW: CounterId = CounterId(18);
+/// `sim.shard.queue_run_max` — the most events any shard sorted as one
+/// bucket run: a high-water mark, not a sum (execution statistic).
+pub const SIM_SHARD_QUEUE_RUN_MAX: CounterId = CounterId(19);
 
 /// Names behind the fixed engine slots above, in slot order.
 ///
@@ -67,7 +80,7 @@ pub const SIM_SHARD_WORKER_SPAWNS: CounterId = CounterId(15);
 /// `Sim::counters`, rate-derived and monotonicity-checked by the metrics
 /// plane. The tail entries are execution statistics (how the run was
 /// computed, not what it computed) and live only in `Sim::exec_stats`.
-pub(crate) const ENGINE_SLOTS: [&str; 16] = [
+pub(crate) const ENGINE_SLOTS: [&str; 20] = [
     "sim.events",
     "sim.packets_sent",
     "sim.packets_delivered",
@@ -84,6 +97,10 @@ pub(crate) const ENGINE_SLOTS: [&str; 16] = [
     "sim.shard.windows",
     "sim.shard.xshard_packets",
     "sim.shard.worker_spawns",
+    "sim.shard.queue_pushes_current",
+    "sim.shard.queue_pushes_ring",
+    "sim.shard.queue_pushes_overflow",
+    "sim.shard.queue_run_max",
 ];
 
 /// How many [`ENGINE_SLOTS`] entries are run output (see there); the rest
@@ -93,7 +110,7 @@ pub(crate) const ENGINE_OUTPUT_SLOTS: usize = 13;
 /// The fixed engine slots above as ids, in slot order — the metrics
 /// plane zips this with [`ENGINE_SLOTS`] to derive `rate.<counter>`
 /// series and the monotonicity snapshot (output slots only).
-pub(crate) const ENGINE_SLOT_IDS: [CounterId; 16] = [
+pub(crate) const ENGINE_SLOT_IDS: [CounterId; 20] = [
     SIM_EVENTS,
     SIM_PACKETS_SENT,
     SIM_PACKETS_DELIVERED,
@@ -110,6 +127,10 @@ pub(crate) const ENGINE_SLOT_IDS: [CounterId; 16] = [
     SIM_SHARD_WINDOWS,
     SIM_SHARD_XSHARD_PACKETS,
     SIM_SHARD_WORKER_SPAWNS,
+    SIM_SHARD_QUEUE_PUSHES_CURRENT,
+    SIM_SHARD_QUEUE_PUSHES_RING,
+    SIM_SHARD_QUEUE_PUSHES_OVERFLOW,
+    SIM_SHARD_QUEUE_RUN_MAX,
 ];
 
 struct Registry {
@@ -420,6 +441,10 @@ mod tests {
             (SIM_SHARD_WINDOWS, "sim.shard.windows"),
             (SIM_SHARD_XSHARD_PACKETS, "sim.shard.xshard_packets"),
             (SIM_SHARD_WORKER_SPAWNS, "sim.shard.worker_spawns"),
+            (SIM_SHARD_QUEUE_PUSHES_CURRENT, "sim.shard.queue_pushes_current"),
+            (SIM_SHARD_QUEUE_PUSHES_RING, "sim.shard.queue_pushes_ring"),
+            (SIM_SHARD_QUEUE_PUSHES_OVERFLOW, "sim.shard.queue_pushes_overflow"),
+            (SIM_SHARD_QUEUE_RUN_MAX, "sim.shard.queue_run_max"),
         ] {
             assert_eq!(slot, CounterId::intern(name), "fixed slot for {name}");
             assert_eq!(slot.name(), name);
